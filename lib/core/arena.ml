@@ -354,42 +354,21 @@ let transform_slab t clock s target_class =
   if nlive = 0 then Header.write_old_class dev addr Header.no_class;
   let new_bitmap = Bitmap.make ~base:(bitmap_addr s) ~nbits:new_layout.nblocks ~mapping:t.mapping in
   Pmem.Device.fill dev (bitmap_addr s) (new_layout.bitmap_lines * Pmem.Cacheline.size) '\000';
-  let cnt_block = Array.make new_layout.nblocks 0 in
-  let old_live = Hashtbl.create 16 in
   s.layout <- new_layout;
   s.bitmap <- new_bitmap;
-  List.iteri
-    (fun slot b ->
-      Hashtbl.replace old_live b slot;
-      let m_stub =
-        { old_class = old_layout.class_idx; old_block_size = old_layout.block_size;
-          old_data_off = old_layout.data_off; cnt_slab = 0; cnt_block; old_live }
-      in
-      let lo, hi = overlapping_new_blocks s m_stub b in
-      for j = lo to hi do
-        if cnt_block.(j) = 0 then Bitmap.set dev new_bitmap j;
-        cnt_block.(j) <- cnt_block.(j) + 1
-      done)
-    live;
+  (* Volatile state first, so the flag-0 commit records an in-range free
+     hint for the new layout. *)
+  s.morph <- morph_of_live s ~old:old_layout (List.mapi (fun slot b -> (b, slot)) live);
+  (* Set the bit of every new-grid block a live old block overlaps. *)
+  (match s.morph with
+  | Some m -> Array.iteri (fun j c -> if c > 0 then Bitmap.set dev new_bitmap j) m.cnt_block
+  | None -> ());
+  Slab.recompute_free dev s;
   let bitmap_span =
     Pstruct.span_of ~addr:(bitmap_addr s)
       ~len:(new_layout.bitmap_lines * Pmem.Cacheline.size)
   in
   Pstruct.flush_span dev clock Pmem.Stats.Meta bitmap_span;
-  (* Volatile state first, so the flag-0 commit records an in-range free
-     hint for the new layout. *)
-  let morph =
-    {
-      old_class = old_layout.class_idx;
-      old_block_size = old_layout.block_size;
-      old_data_off = old_layout.data_off;
-      cnt_slab = nlive;
-      cnt_block;
-      old_live;
-    }
-  in
-  s.morph <- (if nlive > 0 then Some morph else None);
-  Slab.recompute_free dev s;
   Header.write_flag dev addr 0;
   (* Flag 0 asserts the new class's bitmap is in place. *)
   commit_slab_header t clock addr ~deps:[ ("bitmap:rebuilt", bitmap_span) ];
@@ -466,7 +445,8 @@ let return_block t clock s b =
 
 (* Release of a block_before: resolved against the index table, bypassing
    the tcache (section 5.2, "Block release"). *)
-let release_old_block t clock s (m : Slab.morph) old_b =
+let release_old_block t clock s old_b =
+  let m = Option.get s.Slab.morph in
   let slot = Hashtbl.find m.Slab.old_live old_b in
   (* Derived state first, commit last: the overlap bits exist only to pin
      new-grid blocks while this old block lives, and recovery rebuilds the
@@ -517,8 +497,18 @@ let release_old_block t clock s (m : Slab.morph) old_b =
     maybe_destroy_empty t clock s
   end
 
-(* Return a tcache entry to its slab, resolving whether the address is an
-   old-class block of a morphing slab or a current-class block. *)
+(* Release one block to its slab: a current-class block through its bit,
+   an old-class block of a morphing slab through the index table. *)
+let release t clock s = function
+  | Slab.New b -> return_block t clock s b
+  | Slab.Old b -> release_old_block t clock s b
+
+let resolve_exn s addr =
+  match Slab.resolve s addr with
+  | Some blk -> blk
+  | None -> invalid_arg "Arena: address on neither block grid of its slab"
+
+(* Return a tcache entry to its slab. *)
 let return_entry t clock s addr =
   if s.Slab.quarantined then begin
     (* Graceful degradation: the slab's header is unrepairable and its
@@ -528,14 +518,8 @@ let return_entry t clock s addr =
     Pmem.Device.dram_op t.dev clock
   end
   else begin
-  let off = addr - s.Slab.addr in
-  if is_ic t then s.Slab.tcached <- s.Slab.tcached - 1;
-  match s.Slab.morph with
-  | Some m -> (
-      match Slab.old_block_index m off with
-      | Some b -> release_old_block t clock s m b
-      | None -> return_block t clock s (Slab.block_index s addr))
-  | None -> return_block t clock s (Slab.block_index s addr)
+    if is_ic t then s.Slab.tcached <- s.Slab.tcached - 1;
+    release t clock s (resolve_exn s addr)
   end
 
 (* --- WAL ------------------------------------------------------------------ *)
@@ -756,18 +740,11 @@ let alloc_small t clock ~tcaches ~class_idx =
   (e.Tcache.slab, e.Tcache.addr)
 
 let free_small t clock ~tcaches s ~addr ~dest =
-  let off = addr - s.Slab.addr in
-  let old_block =
-    match s.Slab.morph with
-    | Some m -> Option.map (fun b -> (m, b)) (Slab.old_block_index m off)
-    | None -> None
-  in
-  match old_block with
-  | Some (m, b) ->
-      Sim.Lock.with_lock t.lock clock (fun () -> release_old_block t clock s m b);
+  match resolve_exn s addr with
+  | Slab.Old b ->
+      Sim.Lock.with_lock t.lock clock (fun () -> release_old_block t clock s b);
       None
-  | None ->
-      let b = Slab.block_index s addr (* validates the grid *) in
+  | Slab.New b ->
       let wal_span = log_op t clock Wal.Free ~addr ~dest in
       if is_ic t then begin
         (* Internal collection: unmark eagerly so the persistent bitmap
@@ -807,7 +784,7 @@ let restore_slab t s =
 
 let iter_slabs t f = Hashtbl.iter (fun _ s -> f s) t.all_slabs
 
-let recover_return_block t clock s b = return_block t clock s b
+let recover_release = release
 
 (* GC-variant recovery: the persisted bitmap is stale in both directions
    (bits are never flushed at runtime), so rebuild it wholesale from the
@@ -834,11 +811,6 @@ let recover_rebuild_slab t clock s ~live =
   | Some _ | None -> ());
   maybe_destroy_empty t clock s;
   !released
-
-let recover_release_old_block t clock s b =
-  match s.Slab.morph with
-  | Some m -> release_old_block t clock s m b
-  | None -> invalid_arg "Arena.recover_release_old_block: slab not morphing"
 
 let live_small_blocks t =
   Hashtbl.fold

@@ -138,12 +138,10 @@ val restore_slab : t -> Slab.t -> unit
 val iter_slabs : t -> (Slab.t -> unit) -> unit
 (** All live slabs of this arena (for tests and recovery sweeps). *)
 
-val recover_return_block : t -> Sim.Clock.t -> Slab.t -> int -> unit
-(** Recovery hook: return a leaked current-class block to its slab
-    (bit cleared and persisted, freelist membership fixed). *)
-
-val recover_release_old_block : t -> Sim.Clock.t -> Slab.t -> int -> unit
-(** Recovery hook: release a leaked old-class block of a morphing slab. *)
+val recover_release : t -> Sim.Clock.t -> Slab.t -> Slab.block -> unit
+(** Recovery hook: release a leaked block to its slab, by the runtime
+    free path of its grid (bit cleared and persisted, or index entry
+    released; freelist membership fixed). *)
 
 val recover_rebuild_slab : t -> Sim.Clock.t -> Slab.t -> live:(int -> bool) -> int
 (** GC-variant recovery: rebuild a slab's bitmap and free list wholesale

@@ -86,17 +86,21 @@ let pp_recovery_report ppf r =
 let owner_insert t addr owner = Int_rb.insert t.owner_index addr owner
 let owner_remove t addr = Int_rb.remove t.owner_index addr
 
-(* Find the slab or extent containing [addr]; charges a search. *)
-let owner_lookup t clock addr =
-  let n = Int_rb.cardinal t.owner_index in
-  let steps = 1 + (if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n))) in
-  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0);
+(* Find the slab or extent containing [addr]. *)
+let find_owner t addr =
   match Int_rb.find_last_leq t.owner_index addr with
   | None -> None
   | Some (_, (Small_owner s as o)) ->
       if addr < s.Slab.addr + Slab.slab_bytes then Some o else None
   | Some (_, (Large_owner (v, _) as o)) ->
       if addr < v.Extent.addr + v.Extent.size then Some o else None
+
+(* [find_owner], charging the search. *)
+let owner_lookup t clock addr =
+  let n = Int_rb.cardinal t.owner_index in
+  let steps = 1 + (if n <= 1 then 0 else int_of_float (Float.log2 (float_of_int n))) in
+  Pmem.Device.charge_work t.dev clock Pmem.Stats.Search ~ns:(float_of_int steps *. 25.0);
+  find_owner t addr
 
 let callbacks t =
   let on_slab_created s = owner_insert t s.Slab.addr (Small_owner s) in
@@ -535,10 +539,9 @@ let info_of_owner = function
   | Large_owner (v, _) -> { base = v.Extent.addr; size = v.Extent.size; is_slab = false }
 
 let owner_of_addr t addr =
-  match Int_rb.find_last_leq t.owner_index addr with
-  | Some (_, o) when addr < (info_of_owner o).base + (info_of_owner o).size ->
-      Some (info_of_owner o)
-  | _ ->
+  match find_owner t addr with
+  | Some o -> Some (info_of_owner o)
+  | None ->
       (* Recovery-quarantined ranges have no index entry (no vslab was
          built) but remain the allocator's: queries must keep reporting
          them so callers free (and get swallowed) instead of erroring. *)
@@ -571,22 +574,22 @@ let check_owner_index t =
 
 let iter_slabs t f = Array.iter (fun a -> Arena.iter_slabs a f) t.arenas
 
+(* Whether [owner], the owner of [addr], holds a live block starting at
+   [addr]. *)
+let owner_live t owner addr =
+  match owner with
+  | Some (Small_owner s) -> (
+      match Slab.resolve s addr with Some blk -> Slab.is_live t.dev s blk | None -> false)
+  | Some (Large_owner (veh, _)) -> veh.Extent.addr = addr
+  | None -> false
+
+(* A quarantined range's blocks are conservatively live: their bitmap is
+   unreadable. *)
+let is_allocated t addr = in_quarantine t addr || owner_live t (find_owner t addr) addr
+
 let iter_allocated t f =
-  (* Small objects: marked, non-pinned blocks; old-class blocks of a
-     morphing slab are enumerated from the index table. *)
   iter_slabs t (fun s ->
-      Bitmap.iter_set t.dev s.Slab.bitmap (fun b ->
-          if Slab.usable s b then
-            f ~addr:(Slab.block_addr s b) ~size:s.Slab.layout.Slab.block_size);
-      match s.Slab.morph with
-      | Some m ->
-          Hashtbl.iter
-            (fun b _ ->
-              f
-                ~addr:(s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size))
-                ~size:m.Slab.old_block_size)
-            m.Slab.old_live
-      | None -> ());
+      Slab.iter_live t.dev s (fun blk -> f ~addr:(Slab.addr_of s blk) ~size:(Slab.size_of s blk)));
   (* Large objects. *)
   Int_rb.iter
     (fun _ o ->
@@ -700,10 +703,10 @@ let walk_slab t ~quiesced s =
       if Hashtbl.length m.Slab.old_live <> m.Slab.cnt_slab then
         failf "slab %#x: cnt_slab %d <> %d live old blocks" sid m.Slab.cnt_slab
           (Hashtbl.length m.Slab.old_live);
-      if Slab.Header.read_old_class t.dev sid <> m.Slab.old_class then
+      if Slab.Header.read_old_class t.dev sid <> m.Slab.old.Slab.class_idx then
         failf "slab %#x: persisted old_class %d <> volatile %d" sid
           (Slab.Header.read_old_class t.dev sid)
-          m.Slab.old_class;
+          m.Slab.old.Slab.class_idx;
       let icount = Slab.Header.read_index_count t.dev sid in
       let by_slot = Hashtbl.create 16 in
       Hashtbl.iter
@@ -728,14 +731,8 @@ let walk_slab t ~quiesced s =
       done;
       (* Recompute the per-new-block pin counts from the live old blocks
          and hold them against cnt_block and the bitmap pins. *)
-      let cnt = Array.make (Array.length m.Slab.cnt_block) 0 in
-      Hashtbl.iter
-        (fun b _ ->
-          let lo, hi = Slab.overlapping_new_blocks s m b in
-          for j = lo to hi do
-            cnt.(j) <- cnt.(j) + 1
-          done)
-        m.Slab.old_live;
+      let live = Hashtbl.fold (fun b slot acc -> (b, slot) :: acc) m.Slab.old_live [] in
+      let cnt = (Option.get (Slab.morph_of_live s ~old:m.Slab.old live)).Slab.cnt_block in
       Array.iteri
         (fun j c ->
           if c <> m.Slab.cnt_block.(j) then
@@ -1236,7 +1233,6 @@ let recover ?(config = Config.log_default) dev clock =
       Extent.restore_region (Arena.large t.arenas.(arena)) ~base ~total)
     regions;
   (* 4. Restore activated extents; rebuild vslabs for slab extents. *)
-  let undone_morphs = ref 0 in
   let torn_slabs : (Arena.t * Extent.veh) list ref = ref [] in
   phase "recovery:restore-extents" (fun () ->
   List.iter
@@ -1277,14 +1273,7 @@ let recover ?(config = Config.log_default) dev clock =
           else begin
             Arena.adopt_slab_veh arena veh;
             charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
-            let vslab, undone =
-              Slab.recover dev ~addr:s.Booklog.addr ~arena:arena_idx ~mapping
-            in
-            if undone then begin
-              incr undone_morphs;
-              Pmem.Device.flush dev clock Pmem.Stats.Meta ~addr:s.Booklog.addr
-                ~len:Slab.slab_bytes
-            end;
+            let vslab = Slab.recover dev clock ~addr:s.Booklog.addr ~arena:arena_idx ~mapping in
             owner_insert t vslab.Slab.addr (Small_owner vslab);
             Arena.restore_slab arena vslab
           end
@@ -1305,8 +1294,7 @@ let recover ?(config = Config.log_default) dev clock =
               Arena.adopt_slab_veh arena veh
           | _ -> ());
           charge_lines t clock (Slab.slab_bytes / Pmem.Cacheline.size / 8);
-          let vslab, undone = Slab.recover dev ~addr:s.Booklog.addr ~arena:arena_idx ~mapping in
-          if undone then incr undone_morphs;
+          let vslab = Slab.recover dev clock ~addr:s.Booklog.addr ~arena:arena_idx ~mapping in
           owner_insert t vslab.Slab.addr (Small_owner vslab);
           Arena.restore_slab arena vslab
         end)
@@ -1352,8 +1340,8 @@ let recover ?(config = Config.log_default) dev clock =
   let clear_dest dest addr =
     if dest > 0 && read_ptr t ~dest = addr then publish t clock ~dest ~addr:0
   in
-  let release_block arena_idx slab block =
-    Arena.recover_return_block t.arenas.(arena_idx) clock slab block;
+  let release_block s blk =
+    Arena.recover_release t.arenas.(s.Slab.arena) clock s blk;
     incr leaked_blocks
   in
   phase "recovery:sanity" (fun () ->
@@ -1374,51 +1362,34 @@ let recover ?(config = Config.log_default) dev clock =
            would mutate the iteration set. *)
         let slabs = ref [] in
         iter_slabs t (fun s -> slabs := s :: !slabs);
+        let fate addr =
+          match Hashtbl.find_opt last addr with
+          | Some { kind = Wal.Refill; _ } -> Some 0
+          | Some { kind = Wal.Free; dest; _ } -> Some dest
+          | Some { kind = Wal.Alloc; dest; _ } -> if read_ptr t ~dest <> addr then Some 0 else None
+          | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> None
+        in
         List.iter
           (fun s ->
-            let pinned b = not (Slab.usable s b) in
             let victims = ref [] in
-            Bitmap.iter_set dev s.Slab.bitmap (fun b ->
-                if not (pinned b) then begin
-                  let addr = Slab.block_addr s b in
-                  match Hashtbl.find_opt last addr with
-                  | Some { kind = Wal.Refill; _ } -> victims := (b, 0) :: !victims
-                  | Some { kind = Wal.Free; dest; _ } ->
-                      victims := (b, dest) :: !victims
-                  | Some { kind = Wal.Alloc; dest; _ } ->
-                      if read_ptr t ~dest <> addr then victims := (b, 0) :: !victims
-                  | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> ()
-                end);
+            Slab.iter_live dev s (fun blk ->
+                let addr = Slab.addr_of s blk in
+                match fate addr with
+                | Some dest -> victims := (blk, addr, dest) :: !victims
+                | None -> ());
+            (* New-grid victims first: releasing the last old-class block
+               ends the morph and may destroy the emptied slab. *)
+            let news, olds =
+              List.partition
+                (function Slab.New _, _, _ -> true | Slab.Old _, _, _ -> false)
+                !victims
+            in
             List.iter
-              (fun (b, dest) ->
-                clear_dest dest (Slab.block_addr s b);
-                release_block s.Slab.arena s b;
+              (fun (blk, addr, dest) ->
+                clear_dest dest addr;
+                release_block s blk;
                 incr wal_undone)
-              !victims;
-            (* Old-class blocks of a morphing slab live in the index
-               table, not the bitmap: judge them by the same WAL rules. *)
-            match s.Slab.morph with
-            | Some m ->
-                let dead = ref [] in
-                Hashtbl.iter
-                  (fun b _ ->
-                    let addr = s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size) in
-                    match Hashtbl.find_opt last addr with
-                    | Some { kind = Wal.Refill; _ } -> dead := (b, 0) :: !dead
-                    | Some { kind = Wal.Free; dest; _ } -> dead := (b, dest) :: !dead
-                    | Some { kind = Wal.Alloc; dest; _ } ->
-                        if read_ptr t ~dest <> addr then dead := (b, 0) :: !dead
-                    | Some { kind = Wal.Large_alloc | Wal.Large_free; _ } | None -> ())
-                  m.Slab.old_live;
-                List.iter
-                  (fun (b, dest) ->
-                    clear_dest dest
-                      (s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size));
-                    Arena.recover_release_old_block t.arenas.(s.Slab.arena) clock s b;
-                    incr leaked_blocks;
-                    incr wal_undone)
-                  !dead
-            | None -> ())
+              (news @ olds))
           !slabs;
         (* Large objects: a Large_alloc whose destination was never
            published is a leak; a Large_free that never reached the
@@ -1471,23 +1442,17 @@ let recover ?(config = Config.log_default) dev clock =
         while not (Queue.is_empty queue) do
           let addr = Queue.pop queue in
           match owner_lookup t clock addr with
-          | Some (Small_owner s) ->
-              let off = addr - s.Slab.addr in
-              let old_hit =
-                match s.Slab.morph with
-                | Some m -> Slab.old_block_index m off
-                | None -> None
-              in
-              (match old_hit with
-              | Some _ ->
+          | Some (Small_owner s) -> (
+              match Slab.resolve s addr with
+              | Some (Slab.Old _ as blk) ->
                   if not (Hashtbl.mem mark_old addr) then begin
                     Hashtbl.add mark_old addr ();
                     incr marked;
-                    let m = Option.get s.Slab.morph in
-                    scan_range addr m.Slab.old_block_size
+                    scan_range addr (Slab.size_of s blk)
                   end
-              | None ->
-                  let d = off - s.Slab.layout.Slab.data_off in
+              | Some (Slab.New _) | None ->
+                  (* Interior pointers count: mark the enclosing block. *)
+                  let d = addr - s.Slab.addr - s.Slab.layout.Slab.data_off in
                   if d >= 0 && d / s.Slab.layout.Slab.block_size < s.Slab.layout.Slab.nblocks
                   then begin
                     let b = d / s.Slab.layout.Slab.block_size in
@@ -1514,20 +1479,12 @@ let recover ?(config = Config.log_default) dev clock =
         List.iter
           (fun s ->
             (* Old-class blocks whose addresses are unmarked are leaks. *)
-            (match s.Slab.morph with
-            | Some m ->
-                let dead = ref [] in
-                Hashtbl.iter
-                  (fun b _ ->
-                    let addr = s.Slab.addr + m.Slab.old_data_off + (b * m.Slab.old_block_size) in
-                    if not (Hashtbl.mem mark_old addr) then dead := b :: !dead)
-                  m.Slab.old_live;
-                List.iter
-                  (fun b ->
-                    Arena.recover_release_old_block t.arenas.(s.Slab.arena) clock s b;
-                    incr leaked_blocks)
-                  !dead
-            | None -> ());
+            let dead = ref [] in
+            Slab.iter_live dev s (function
+              | Slab.Old _ as blk when not (Hashtbl.mem mark_old (Slab.addr_of s blk)) ->
+                  dead := blk :: !dead
+              | Slab.Old _ | Slab.New _ -> ());
+            List.iter (release_block s) !dead;
             let released =
               Arena.recover_rebuild_slab t.arenas.(s.Slab.arena) clock s ~live:(fun b ->
                   Hashtbl.mem mark_small (Slab.block_addr s b))
@@ -1560,21 +1517,7 @@ let recover ?(config = Config.log_default) dev clock =
        the large-extent and morph-old-block cases were found by the
        crash-plan fuzzer.) *)
     let still_allocated addr =
-      (* A quarantined range's blocks are conservatively live: their
-         bitmap is unreadable, so no publication into it may be
-         cleared. *)
-      in_quarantine t addr
-      ||
-      match owner_lookup t clock addr with
-      | Some (Small_owner s) -> (
-          let off = addr - s.Slab.addr in
-          match s.Slab.morph with
-          | Some m when Slab.old_block_index m off <> None -> true
-          | _ ->
-              Slab.contains_new_block s addr
-              && Bitmap.get dev s.Slab.bitmap (Slab.block_index s addr))
-      | Some (Large_owner (veh, _)) -> veh.Extent.addr = addr
-      | None -> false
+      in_quarantine t addr || owner_live t (owner_lookup t clock addr) addr
     in
     (* With group commit, a freed block can be handed out again inside the
        same open group, so the replay window may hold Free (addr, dest)

@@ -135,6 +135,12 @@ val check_owner_index : t -> (string, string) result
 
 val iter_slabs : t -> (Slab.t -> unit) -> unit
 
+val is_allocated : t -> int -> bool
+(** Whether the address starts a live block: a small block live by
+    {!Slab.is_live} (a bit set only as a morph pin does not count) or a
+    large extent's base. Addresses inside quarantined ranges count as
+    live. No latency charged. *)
+
 val iter_allocated : t -> (addr:int -> size:int -> unit) -> unit
 (** Enumerate every allocated object (small blocks, morph-carried
     old-class blocks, large extents). This is the PMDK

@@ -56,9 +56,7 @@ type t = {
 }
 
 and morph = {
-  old_class : int;
-  old_block_size : int;
-  old_data_off : int;
+  old : layout;
   mutable cnt_slab : int;
   cnt_block : int array;
   old_live : (int, int) Hashtbl.t;
@@ -241,6 +239,23 @@ let recompute_free dev t =
     if (not (Bitmap.get dev t.bitmap b)) && usable t b then free_put t b
   done
 
+(* A vslab over [layout] with an empty free set. *)
+let vslab ~addr ~arena ~mapping layout =
+  {
+    addr;
+    arena;
+    layout;
+    bitmap = Bitmap.make ~base:(addr + bitmap_off) ~nbits:layout.nblocks ~mapping;
+    free_count = 0;
+    avail = Array.make (avail_words layout.nblocks) 0;
+    tcached = 0;
+    freelist_node = None;
+    lru_node = None;
+    morph = None;
+    dying = false;
+    quarantined = false;
+  }
+
 let format dev ~addr ~arena ~mapping layout =
   assert (addr mod 4096 = 0);
   assert (arena land lnot mask_arena = 0);
@@ -253,25 +268,8 @@ let format dev ~addr ~arena ~mapping layout =
   write_word dev addr w;
   Guard.refresh dev (guard_record addr);
   Pmem.Device.fill dev (addr + bitmap_off) (layout.bitmap_lines * Pmem.Cacheline.size) '\000';
-  let bitmap = Bitmap.make ~base:(addr + bitmap_off) ~nbits:layout.nblocks ~mapping in
-  assert (bitmap.Bitmap.lines = layout.bitmap_lines);
-  let avail = Array.make (avail_words layout.nblocks) 0 in
-  let t =
-    {
-      addr;
-      arena;
-      layout;
-      bitmap;
-      free_count = 0;
-      avail;
-      tcached = 0;
-      freelist_node = None;
-      lru_node = None;
-      morph = None;
-      dying = false;
-      quarantined = false;
-    }
-  in
+  let t = vslab ~addr ~arena ~mapping layout in
+  assert (t.bitmap.Bitmap.lines = layout.bitmap_lines);
   for b = 0 to layout.nblocks - 1 do
     free_put t b
   done;
@@ -302,24 +300,84 @@ let pack_index_entry ~block ~allocated =
 
 let unpack_index_entry e = (e land 0x0FFF, e land 0x8000 <> 0)
 
-let old_block_index m addr_off =
-  (* [addr_off] is the slab-relative offset of the freed address. *)
-  let off = addr_off - m.old_data_off in
-  if off < 0 || off mod m.old_block_size <> 0 then None
-  else
-    let b = off / m.old_block_size in
-    if Hashtbl.mem m.old_live b then Some b else None
+(* Slab-relative offset of old-class block [b]: the one place the old
+   grid's arithmetic lives. *)
+let old_block_off m b = m.old.data_off + (b * m.old.block_size)
 
 let overlapping_new_blocks t m old_b =
-  let start = m.old_data_off + (old_b * m.old_block_size) in
-  let stop = start + m.old_block_size in
+  let start = old_block_off m old_b in
+  let stop = start + m.old.block_size in
   let d = t.layout.data_off in
   let bs = t.layout.block_size in
   let lo = if start <= d then 0 else (start - d) / bs in
   let hi = if stop <= d then -1 else (stop - 1 - d) / bs in
   (max 0 lo, min (t.layout.nblocks - 1) hi)
 
+let morph_of_live t ~old live =
+  if live = [] then None
+  else begin
+    let m =
+      { old; cnt_slab = 0; cnt_block = Array.make t.layout.nblocks 0; old_live = Hashtbl.create 16 }
+    in
+    List.iter
+      (fun (b, slot) ->
+        Hashtbl.replace m.old_live b slot;
+        m.cnt_slab <- m.cnt_slab + 1;
+        let lo, hi = overlapping_new_blocks t m b in
+        for j = lo to hi do
+          m.cnt_block.(j) <- m.cnt_block.(j) + 1
+        done)
+      live;
+    Some m
+  end
+
+(* --- resolving addresses ------------------------------------------------- *)
+
+type block = Old of int | New of int
+
+let resolve t addr =
+  let old_hit =
+    match t.morph with
+    | Some m ->
+        let off = addr - t.addr - m.old.data_off in
+        let b = off / m.old.block_size in
+        if off >= 0 && off mod m.old.block_size = 0 && Hashtbl.mem m.old_live b then Some (Old b)
+        else None
+    | None -> None
+  in
+  match old_hit with
+  | Some _ -> old_hit
+  | None -> if contains_new_block t addr then Some (New (block_index t addr)) else None
+
+let addr_of t = function
+  | New b -> block_addr t b
+  | Old b -> t.addr + old_block_off (Option.get t.morph) b
+
+let size_of t = function
+  | New _ -> t.layout.block_size
+  | Old _ -> (Option.get t.morph).old.block_size
+
+let is_live dev t = function
+  | New b -> usable t b && Bitmap.get dev t.bitmap b
+  | Old b -> ( match t.morph with Some m -> Hashtbl.mem m.old_live b | None -> false)
+
+let iter_live dev t f =
+  Bitmap.iter_set dev t.bitmap (fun b -> if usable t b then f (New b));
+  match t.morph with
+  | Some m -> Hashtbl.iter (fun b _ -> f (Old b)) m.old_live
+  | None -> ()
+
 (* --- recovery -------------------------------------------------------------- *)
+
+(* The live old blocks the persisted index table records, as
+   (old block, slot) pairs in slot order. *)
+let index_live dev addr =
+  let live = ref [] in
+  for slot = Header.read_index_count dev addr - 1 downto 0 do
+    let b, allocated = unpack_index_entry (read_index_entry dev addr slot) in
+    if allocated then live := (b, slot) :: !live
+  done;
+  !live
 
 let rebuild_vslab dev ~addr ~arena ~mapping =
   let class_idx = Header.read_class dev addr in
@@ -333,73 +391,32 @@ let rebuild_vslab dev ~addr ~arena ~mapping =
     Header.write_arena dev addr (arena land mask_arena);
     Guard.refresh dev (guard_record addr)
   end;
-  let bitmap = Bitmap.make ~base:(addr + bitmap_off) ~nbits:layout.nblocks ~mapping in
-  let s =
-    {
-      addr;
-      arena;
-      layout;
-      bitmap;
-      free_count = 0;
-      avail = Array.make (avail_words layout.nblocks) 0;
-      tcached = 0;
-      freelist_node = None;
-      lru_node = None;
-      morph = None;
-      dying = false;
-      quarantined = false;
-    }
-  in
+  let s = vslab ~addr ~arena ~mapping layout in
   (* Morphing state survives in the index table while old-class blocks are
      still live. *)
   let old_class = Header.read_old_class dev addr in
-  let index_count = Header.read_index_count dev addr in
-  if old_class <> no_class && index_count > 0 then begin
-    let old_layout = layout_of_class ~class_idx:old_class ~mapping in
-    let old_live = Hashtbl.create 16 in
-    let cnt_block = Array.make layout.nblocks 0 in
-    let m =
-      {
-        old_class;
-        old_block_size = old_layout.block_size;
-        old_data_off = old_layout.data_off;
-        cnt_slab = 0;
-        cnt_block;
-        old_live;
-      }
-    in
-    for slot = 0 to index_count - 1 do
-      let b, allocated = unpack_index_entry (read_index_entry dev addr slot) in
-      if allocated then begin
-        Hashtbl.replace old_live b slot;
-        m.cnt_slab <- m.cnt_slab + 1;
-        let lo, hi = overlapping_new_blocks s m b in
-        for j = lo to hi do
-          cnt_block.(j) <- cnt_block.(j) + 1
-        done
-      end
-    done;
-    if m.cnt_slab > 0 then s.morph <- Some m
-  end;
+  if old_class <> no_class then
+    s.morph <-
+      morph_of_live s ~old:(layout_of_class ~class_idx:old_class ~mapping) (index_live dev addr);
   recompute_free dev s;
   s
 
-let undo_morph dev ~addr ~mapping =
+(* Roll a morph torn by a crash back to its old class, then persist the
+   rollback in order: the restored bitmap first, then — after a fence —
+   the flag-0 header line that vouches for it. A crash before the header
+   retires leaves the flag set and the next recovery undoes again. *)
+let undo_morph dev clock ~addr ~mapping =
   let flag = Header.read_flag dev addr in
   assert (flag = 1 || flag = 2);
+  let old_class = Header.read_old_class dev addr in
+  let old_layout = layout_of_class ~class_idx:old_class ~mapping in
   if flag = 2 then begin
     (* The new class field and bitmap may be partially written: restore
        the old class and rebuild its bitmap from the index table. *)
-    let old_class = Header.read_old_class dev addr in
-    let old_layout = layout_of_class ~class_idx:old_class ~mapping in
     Header.write_class dev addr old_class;
     let bitmap = Bitmap.make ~base:(addr + bitmap_off) ~nbits:old_layout.nblocks ~mapping in
     Pmem.Device.fill dev (addr + bitmap_off) (Bitmap.bytes bitmap) '\000';
-    let index_count = Header.read_index_count dev addr in
-    for slot = 0 to index_count - 1 do
-      let b, allocated = unpack_index_entry (read_index_entry dev addr slot) in
-      if allocated then Bitmap.set dev bitmap b
-    done
+    List.iter (fun (b, _) -> Bitmap.set dev bitmap b) (index_live dev addr)
   end;
   Header.write_old_class dev addr no_class;
   Header.write_index_count dev addr 0;
@@ -407,10 +424,15 @@ let undo_morph dev ~addr ~mapping =
   (* The stale hint may exceed the restored class's block count; zero is
      always in range and recovery recomputes the real free set anyway. *)
   Header.write_free_hint dev addr 0;
-  Guard.refresh dev (guard_record addr)
+  Guard.refresh dev (guard_record addr);
+  (* Index table and bitmap lines, between the header line and block 0. *)
+  let body = Pstruct.span_of ~addr:(addr + index_off) ~len:(old_layout.data_off - index_off) in
+  Pstruct.flush_span dev clock Pmem.Stats.Meta body;
+  Pmem.Device.fence dev clock;
+  Pstruct.commit dev clock Pmem.Stats.Meta ~deps:[ ("bitmap:restored", body) ]
+    (header_commit_span addr)
 
-let recover dev ~addr ~arena ~mapping =
+let recover dev clock ~addr ~arena ~mapping =
   let flag = Header.read_flag dev addr in
-  let undone = flag = 1 || flag = 2 in
-  if undone then undo_morph dev ~addr ~mapping;
-  (rebuild_vslab dev ~addr ~arena ~mapping, undone)
+  if flag = 1 || flag = 2 then undo_morph dev clock ~addr ~mapping;
+  rebuild_vslab dev ~addr ~arena ~mapping

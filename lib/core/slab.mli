@@ -103,9 +103,7 @@ type t = {
 
 (** Volatile morphing state of a slab_in. *)
 and morph = {
-  old_class : int;
-  old_block_size : int;
-  old_data_off : int;
+  old : layout;  (** the previous size class's layout (same mapping) *)
   mutable cnt_slab : int;  (** live old-class blocks (paper's cnt_slab) *)
   cnt_block : int array;  (** per new block: overlapping live old blocks *)
   old_live : (int, int) Hashtbl.t;  (** old block index -> index-table slot *)
@@ -190,8 +188,8 @@ val contains_new_block : t -> int -> bool
 (** Whether the address lies on the current-class block grid. *)
 
 val usable : t -> int -> bool
-(** Block [b] can be handed out: bit clear and (when morphing) not
-    overlapped by live old-class blocks. *)
+(** Block [b] is not pinned by a live old-class block of a morph (always
+    true on a non-morphing slab). Says nothing about its bitmap bit. *)
 
 val occupancy_ratio : t -> float
 (** Allocated blocks / total blocks (the paper's Ratio_occupy). Counts
@@ -227,25 +225,56 @@ val recompute_free : Pmem.Device.t -> t -> unit
 
 val pack_index_entry : block:int -> allocated:bool -> int
 val unpack_index_entry : int -> int * bool
-val old_block_index : morph -> int -> int option
-(** [old_block_index m off] is the old-class block index for a
-    slab-relative byte offset [off], provided it lies on the old block
-    grid and that block is live. *)
-
 val overlapping_new_blocks : t -> morph -> int -> int * int
 (** [overlapping_new_blocks t m old_b] is the inclusive range of
     current-class block indices overlapped by old-class block [old_b]
     (clamped to valid blocks). *)
 
+val morph_of_live : t -> old:layout -> (int * int) list -> morph option
+(** [morph_of_live t ~old live] is the morph state of [t], already on
+    its new layout, hosting the live blocks of the [old] class given as
+    [(old block, index slot)] pairs: [old_live], [cnt_slab] and the pin
+    counts [cnt_block]. [None] when [live] is empty. The morph itself,
+    recovery and the integrity walk all build pins here. *)
+
+(** {1 Resolving addresses}
+
+    On a morphing slab an address can hit either block grid. These
+    answer "which block, and is it live?" for every caller. *)
+
+type block =
+  | Old of int  (** a live old-class block of a morphing slab *)
+  | New of int  (** a block of the current class *)
+
+val resolve : t -> int -> block option
+(** [Old b] when the address starts live old-class block [b]; otherwise
+    [New b] when it starts current-class block [b]; otherwise [None]. *)
+
+val addr_of : t -> block -> int
+val size_of : t -> block -> int
+
+val is_live : Pmem.Device.t -> t -> block -> bool
+(** Allocated to the user (or sitting in a tcache): [Old b] while [b]
+    is in [old_live]; [New b] when its bit is set and it is {!usable}, so
+    a bit set only as a morph pin does not count. *)
+
+val iter_live : Pmem.Device.t -> t -> (block -> unit) -> unit
+(** Every live block: the current grid in ascending order, then the
+    old-class blocks. *)
+
 (** {1 Recovery} *)
 
-val recover : Pmem.Device.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> t * bool
-(** Rebuild a vslab from its persistent header (section 4.4). If the
-    header's flag shows a morph was torn by a crash, the transformation is
-    undone first: flag 1 resets the copied old-class fields; flag 2
-    additionally restores the class field and rebuilds the old bitmap
-    from the index table. Returns [(vslab, undone)]; when [undone] the
-    caller must flush the whole header+bitmap area. Morphing state
-    (old_live, cnt_slab, cnt_block) is reconstructed from the index
-    table for slabs still hosting two classes, with the old data offset
-    re-derived from [old_class] via {!layout_of_class}. *)
+val recover :
+  Pmem.Device.t -> Sim.Clock.t -> addr:int -> arena:int -> mapping:Bitmap.mapping -> t
+(** Rebuild a vslab from its persistent header (section 4.4).
+
+    A nonzero morph flag means a crash tore a morph; it is undone before
+    the rebuild. Flag 1 resets the copied old-class fields. Flag 2 also
+    restores the class field and rebuilds the old bitmap from the index
+    table. The undo persists itself, in order: the index and bitmap
+    lines, a fence, then the header line with flag 0. A crash before the
+    header line retires leaves the flag set, and the next recovery undoes
+    the morph again. The caller flushes nothing.
+
+    A slab still hosting two classes gets its morph state back from the
+    index table through {!morph_of_live}. *)

@@ -33,14 +33,20 @@ let check ~config dev clock =
     (match Nvalloc.check_owner_index t with
     | Ok _ -> ()
     | Error e -> fail report "owner index broken: %s" e);
-    (* 2. Every published root resolves to an owned block and frees. *)
+    (* 2. Every published root resolves to a live block and frees.
+       NVAlloc-GC is exempt from liveness: its conservative mark
+       tolerates resurrection aliasing (see [Arena.return_block]), so a
+       root there can name a block that is not live on its own. *)
     let th = Nvalloc.thread t clock in
+    let gc = config.Config.consistency = Config.Gc_based in
     for i = 0 to Nvalloc.root_slots t - 1 do
       let dest = Nvalloc.root_addr t i in
       let v = Nvalloc.read_ptr t ~dest in
       if v > 0 then begin
         if Nvalloc.owner_of_addr t v = None then
           fail report "published root %d -> %#x has no owner" i v;
+        if (not gc) && not (Nvalloc.is_allocated t v) then
+          fail report "published root %d -> %#x is not a live block" i v;
         Nvalloc.free_from t th ~dest
       end
     done;

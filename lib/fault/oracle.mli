@@ -7,7 +7,11 @@
 
     + {b owner-index disjointness} — no two owners overlap;
     + {b root reachability} — every published root slot resolves to an
-      owned block and can be freed;
+      owned block and can be freed; under NVAlloc-LOG and NVAlloc-IC that
+      block must also be live ({!Nvalloc_core.Nvalloc.is_allocated}).
+      NVAlloc-GC is exempt: its conservative mark tolerates resurrection
+      aliasing, so a root there can name a block that is not live on its
+      own;
     + {b leak-freedom} — after freeing everything reachable (plus, for
       NVAlloc-IC, the application-side orphan resolution via
       [iter_allocated]), a clean shutdown and re-open finds a [Shutdown]

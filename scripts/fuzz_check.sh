@@ -10,6 +10,11 @@
 # 2. Synchronous (--no-batch): half the budget with the batched
 #    pipeline forced off, so a regression in the plain path cannot hide
 #    behind the batched one (or vice versa).
+# 3. Wide, on two domains (--domains 2): 4000 plans from seed 3 over all
+#    variants and 6000 NVAlloc-LOG plans from seed 1, about 30 s on two
+#    cores. Recovery bugs that show up once in a few thousand plans slip
+#    past the 200-plan budget; both sweeps hit such fixed bugs (see
+#    EXPERIMENTS.md).
 #
 # Exits non-zero (printing the shrunk one-line repro) if any plan
 # violates the recovery invariants.
@@ -21,8 +26,12 @@ set -eu
 cd "$(dirname "$0")/.."
 seed="${1:-1}"
 runs="${2:-200}"
-if [ "${CHECK_FAST:-0}" = "1" ] && [ $# -lt 2 ]; then
-  runs=60
+wide_all=4000
+wide_log=6000
+if [ "${CHECK_FAST:-0}" = "1" ]; then
+  if [ $# -lt 2 ]; then runs=60; fi
+  wide_all=400
+  wide_log=600
 fi
 cli=./_build/default/bin/nvalloc_cli.exe
 dune build bin/nvalloc_cli.exe
@@ -32,4 +41,9 @@ echo "fuzz: batched pipeline ($runs plans)"
 
 sync_runs=$((runs / 2))
 echo "fuzz: synchronous pipeline ($sync_runs plans)"
-exec "$cli" fuzz --no-batch --seed "$seed" --runs "$sync_runs"
+"$cli" fuzz --no-batch --seed "$seed" --runs "$sync_runs"
+
+echo "fuzz: wide sweep, all variants ($wide_all plans, 2 domains)"
+"$cli" fuzz --seed 3 --runs "$wide_all" --domains 2
+echo "fuzz: wide sweep, NVAlloc-LOG ($wide_log plans, 2 domains)"
+"$cli" fuzz --variant log --seed 1 --runs "$wide_log" --domains 2

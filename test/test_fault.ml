@@ -1,7 +1,7 @@
 (* The fault-injection subsystem: crash plans (parse/print/sample),
    the fuzzer end to end (clean allocator -> no counterexamples; broken
-   WAL ordering -> caught, shrunk, replayable), and configuration
-   validation. *)
+   WAL ordering -> caught, shrunk, replayable; fixed counterexamples stay
+   fixed), and configuration validation. *)
 
 open Nvalloc_core
 
@@ -89,6 +89,34 @@ let test_fuzz_catches_broken_ordering () =
       in
       Alcotest.(check bool) "reparsed equals shrunk" true (reparsed = shrunk)
 
+(* Regression plans for two recovery defects. The first six are torn
+   crashes after which a root kept pointing at a freed old-class block of
+   a morphing slab: the lost-clear pass read a morph-pinned new-grid bit
+   as a user block. The seventh crashes inside recovery while a torn
+   morph's undo is being persisted: the flag-0 header line reached media
+   before the restored bitmap and leaked its blocks. *)
+let regression_plans =
+  [
+    "v=log seed=24302 ops=77 crash=353 torn=line tseed=837560 rcrash=-";
+    "v=log seed=741064 ops=479 crash=1310 torn=prefix tseed=483316 rcrash=-";
+    "v=log seed=271964 ops=214 crash=784 torn=prefix tseed=303452 rcrash=-";
+    "v=log seed=689889 ops=127 crash=302 torn=suffix tseed=297737 rcrash=-";
+    "v=log seed=183300 ops=265 crash=186 torn=line tseed=826996 rcrash=-";
+    "v=log seed=514252 ops=601 crash=1402 torn=line tseed=401836 rcrash=-";
+    "v=log seed=212792 ops=64 crash=291 torn=line tseed=488285 rcrash=43";
+  ]
+
+let test_regression_plans () =
+  List.iter
+    (fun line ->
+      match Fault.Plan.of_string line with
+      | Error e -> Alcotest.failf "parse %S: %s" line e
+      | Ok plan -> (
+          match Fault.Fuzz.run_plan plan with
+          | Ok _ -> ()
+          | Error reason -> Alcotest.failf "%s: %s" line reason))
+    regression_plans
+
 let test_config_validation () =
   let rejects name field cfg =
     match Config.validate cfg with
@@ -132,6 +160,7 @@ let suite =
     Alcotest.test_case "fuzz: clean allocator passes" `Slow test_fuzz_clean;
     Alcotest.test_case "fuzz: broken ordering caught and shrunk" `Slow
       test_fuzz_catches_broken_ordering;
+    Alcotest.test_case "fuzz: regression plans recover" `Quick test_regression_plans;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "create rejects invalid config" `Quick test_create_rejects_invalid;
   ]

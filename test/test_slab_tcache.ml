@@ -64,11 +64,54 @@ let test_format_and_recover () =
   (* Mark a few blocks, then rebuild from the header. *)
   Bitmap.set dev s.Slab.bitmap 0;
   Bitmap.set dev s.Slab.bitmap 5;
-  let s', undone = Slab.recover dev ~addr:65536 ~arena:0 ~mapping in
-  Alcotest.(check bool) "no undo needed" false undone;
+  let dirty = Pmem.Device.dirty_lines dev in
+  let s' = Slab.recover dev (Sim.Clock.create ()) ~addr:65536 ~arena:0 ~mapping in
+  Alcotest.(check int) "no undo, nothing flushed" dirty (Pmem.Device.dirty_lines dev);
   Alcotest.(check int) "free count reflects bits" (layout.Slab.nblocks - 2) s'.Slab.free_count;
   Alcotest.(check bool) "free set excludes set bits" true
     ((not (Slab.free_mem s' 0)) && not (Slab.free_mem s' 5))
+
+(* A morph torn at flag 2: class 3 slab with live blocks 0 and 5 recorded
+   in the index table, class field already switched to 5 and the new
+   bitmap zeroed, all persisted. *)
+let torn_morph_image () =
+  let dev = mk_dev () in
+  let clock = Sim.Clock.create () in
+  let mapping = Bitmap.Interleaved 6 in
+  let addr = 65536 in
+  let s = Slab.format dev ~addr ~arena:0 ~mapping (Slab.layout_of_class ~class_idx:3 ~mapping) in
+  Bitmap.set dev s.Slab.bitmap 0;
+  Bitmap.set dev s.Slab.bitmap 5;
+  Slab.Header.write_old_class dev addr 3;
+  List.iteri
+    (fun slot b ->
+      Slab.write_index_entry dev addr slot (Slab.pack_index_entry ~block:b ~allocated:true))
+    [ 0; 5 ];
+  Slab.Header.write_index_count dev addr 2;
+  Slab.Header.write_flag dev addr 2;
+  Slab.Header.write_class dev addr 5;
+  Bitmap.clear_all dev s.Slab.bitmap;
+  Pmem.Device.flush_all dev clock Pmem.Stats.Meta;
+  (dev, clock, mapping, addr)
+
+let test_morph_undo_crash_ordering () =
+  (* Crash the undo at each of its line flushes: the next recovery must
+     still see blocks 0 and 5 allocated. Persisting the flag-0 header
+     before the restored bitmap would hand them out again. *)
+  for n = 1 to 8 do
+    let dev, clock, mapping, addr = torn_morph_image () in
+    Pmem.Device.schedule_crash_after dev n;
+    (try ignore (Slab.recover dev clock ~addr ~arena:0 ~mapping)
+     with Pmem.Device.Injected_crash -> ());
+    Pmem.Device.cancel_scheduled_crash dev;
+    Pmem.Device.crash dev;
+    let s = Slab.recover dev clock ~addr ~arena:0 ~mapping in
+    let name = Printf.sprintf "crash at flush %d" n in
+    Alcotest.(check int) (name ^ ": old class restored") 3 s.Slab.layout.Slab.class_idx;
+    Alcotest.(check bool) (name ^ ": live blocks stay allocated") true
+      ((not (Slab.free_mem s 0)) && not (Slab.free_mem s 5));
+    Alcotest.(check int) (name ^ ": flag cleared") 0 (Slab.Header.read_flag dev addr)
+  done
 
 let prop_index_entry_roundtrip =
   let open QCheck in
@@ -164,6 +207,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_classes_monotone;
     QCheck_alcotest.to_alcotest prop_layout_sound;
     Alcotest.test_case "format + recover roundtrip" `Quick test_format_and_recover;
+    Alcotest.test_case "crash inside a morph undo" `Quick test_morph_undo_crash_ordering;
     QCheck_alcotest.to_alcotest prop_index_entry_roundtrip;
     Alcotest.test_case "block addr/index roundtrip" `Quick test_block_addr_roundtrip;
     Alcotest.test_case "tcache capacity and drain" `Quick test_tcache_fifo_capacity;
